@@ -114,7 +114,7 @@ func main() {
 		"run supporting experiments on the sharded executor with this many workers (0 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments")
 	memProfile := flag.String("memprofile", "", "write a heap profile after the selected experiments")
-	flag.BoolVar(&jsonOut, "json", false, "emit machine-readable JSON (supported by packet-path and workload-scale)")
+	flag.BoolVar(&jsonOut, "json", false, "emit machine-readable JSON (supported by engine-loop, packet-path, workload-scale, placement-scale, transport-scale, seed-path and fleet-soak)")
 	flag.Parse()
 	profiling = *cpuProfile != "" || *memProfile != ""
 

@@ -267,9 +267,10 @@ func (r *RealTime) Shard(i int) Scheduler {
 }
 
 // CrossAfter implements Partitioned: with one shard there is nothing to
-// cross, so it degenerates to After.
+// cross, so it degenerates to a handle-free schedule (the caller gets
+// no Timer to cancel, so none is allocated).
 func (r *RealTime) CrossAfter(from, to int, d time.Duration, fn func()) {
-	r.After(d, fn)
+	r.schedule(d, fn)
 }
 
 // realTimer is the Timer handle of the real-time engine. Like the

@@ -176,7 +176,8 @@ func (l *Serial) Shard(i int) Scheduler {
 }
 
 // CrossAfter implements Partitioned: with one shard there is nothing to
-// cross, so it degenerates to After.
+// cross, so it degenerates to a handle-free schedule (the caller gets
+// no Timer to cancel, so none is allocated).
 func (l *Serial) CrossAfter(from, to int, d time.Duration, fn func()) {
-	l.After(d, fn)
+	l.schedule(d, fn)
 }

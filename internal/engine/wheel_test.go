@@ -394,3 +394,55 @@ func TestScheduleOn(t *testing.T) {
 		t.Fatal("ScheduleOn event did not fire on RealTime")
 	}
 }
+
+// TestSerialCrossAfterAllocationFree pins the single-shard CrossAfter
+// to the handle-free schedule path: re-arming one prebuilt callback hop
+// after hop (the fabric's packet records) allocates nothing once the
+// queue's event pool is warm.
+func TestSerialCrossAfterAllocationFree(t *testing.T) {
+	l := NewSerial()
+	hops := 0
+	var step func()
+	step = func() {
+		if hops++; hops%4 != 0 {
+			l.CrossAfter(0, 0, 50*time.Microsecond, step)
+		}
+	}
+	run := func() {
+		l.CrossAfter(0, 0, 50*time.Microsecond, step)
+		l.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 64; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+		t.Fatalf("CrossAfter allocates %v per 4-hop chain, want 0", allocs)
+	}
+	if hops != 4*(64+1001) {
+		t.Fatalf("ran %d hops, want %d", hops, 4*(64+1001))
+	}
+}
+
+// TestCrossAfterOrderMatchesAfter: the handle-free CrossAfter takes the
+// same (at, seq) slot After would, so interleaving the two keeps the
+// serial FIFO order among simultaneous events.
+func TestCrossAfterOrderMatchesAfter(t *testing.T) {
+	for _, p := range []interface {
+		Scheduler
+		Partitioned
+	}{NewSerial(), NewSerialQueue(QueueHeap)} {
+		var got []int
+		for i := 0; i < 6; i++ {
+			i := i
+			if i%2 == 0 {
+				p.After(time.Millisecond, func() { got = append(got, i) })
+			} else {
+				p.CrossAfter(0, 0, time.Millisecond, func() { got = append(got, i) })
+			}
+		}
+		p.RunFor(2 * time.Millisecond)
+		if fmt.Sprint(got) != fmt.Sprint([]int{0, 1, 2, 3, 4, 5}) {
+			t.Fatalf("fired as %v, want submission order", got)
+		}
+	}
+}

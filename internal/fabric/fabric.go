@@ -12,12 +12,28 @@
 // components, seed-to-seed sends) is routed through Partitioned.CrossAfter
 // so the sharded engine can merge it deterministically at epoch barriers.
 // Centralized components (seeder, harvesters, collectors) live on shard 0.
+//
+// Packets route from an ECMP table the fabric owns, one slot per (source
+// leaf, destination leaf) pair holding exactly what Topology.Paths
+// enumerates for that pair, plus each hop's ports and home shard. Slots
+// fill lazily on first use and are published atomically, so shards
+// racing on a pair need no lock; a source leaf's row is allocated on its
+// first packet, so a fabric that routes no packets pays for none. (An
+// eager all-pairs fill would cost ~40 ms on a k=8 fat-tree and ~3.4 s
+// and ~49 MiB on k=20; see docs/dataplane.md.) A packet in flight rides
+// a pooled hop record that is re-armed hop by hop, so in steady state
+// Send allocates nothing.
+//
+// The table makes the topology frozen once New sees it: adding
+// switches, links or hosts, or calling Topology.SetMaxECMP, must happen
+// before New. Hosts added later are rejected by Send and PathFor.
 package fabric
 
 import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"farm/internal/dataplane"
@@ -73,13 +89,6 @@ func (o Options) MinCrossLatency() time.Duration {
 	return base / 2
 }
 
-// padCounter is a per-shard event counter, padded so shards don't
-// false-share cache lines.
-type padCounter struct {
-	n uint64
-	_ [7]uint64
-}
-
 // Fabric is the assembled emulated data center.
 type Fabric struct {
 	topo  *netmodel.Topology
@@ -88,13 +97,23 @@ type Fabric struct {
 	opts  Options
 	costs metrics.CostModel
 
-	switches map[netmodel.SwitchID]*dataplane.Switch
+	switches []*dataplane.Switch // by SwitchID
 	drivers  map[netmodel.SwitchID]*dataplane.EmuDriver
 	cpus     map[netmodel.SwitchID]*metrics.CPUMeter
-	// ports[sw] maps neighbor switch IDs and host IDs to 1-based ports.
-	swPorts   map[netmodel.SwitchID]map[netmodel.SwitchID]int
-	hostPorts map[netmodel.SwitchID]map[netmodel.HostID]int
-	numPorts  map[netmodel.SwitchID]int
+	// swPorts[sw] maps neighbor switch IDs to 1-based ports.
+	swPorts  map[netmodel.SwitchID]map[netmodel.SwitchID]int
+	numPorts map[netmodel.SwitchID]int
+
+	// hosts[h] is host h's leaf ordinal and 1-based port on that leaf.
+	// Leaf ordinals number the switches hosts attach to, densely in
+	// switch-ID order; leaves maps an ordinal back to its switch and
+	// leafOrd a switch to its ordinal (-1 for switches without hosts).
+	hosts   []endpoint
+	leaves  []netmodel.SwitchID
+	leafOrd []int32
+	// ecmp is the ECMP table, one lazily allocated row per source leaf
+	// ordinal (see ecmpFor).
+	ecmp []atomic.Pointer[ecmpRow]
 
 	// shardOf pins each switch to its home shard; shardScheds caches the
 	// per-shard scheduler views.
@@ -108,8 +127,7 @@ type Fabric struct {
 
 	hopDist map[netmodel.SwitchID]int // hops to CentralAt
 
-	delivered []padCounter // per shard
-	dropped   []padCounter // per shard
+	lanes []shardLane // per shard
 }
 
 // New assembles a fabric over the topology, scheduling onto sched. When
@@ -145,17 +163,17 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 		part:        part,
 		opts:        opts,
 		costs:       opts.Costs,
-		switches:    make(map[netmodel.SwitchID]*dataplane.Switch),
+		switches:    make([]*dataplane.Switch, topo.NumSwitches()),
 		drivers:     make(map[netmodel.SwitchID]*dataplane.EmuDriver),
 		cpus:        make(map[netmodel.SwitchID]*metrics.CPUMeter),
 		swPorts:     make(map[netmodel.SwitchID]map[netmodel.SwitchID]int),
-		hostPorts:   make(map[netmodel.SwitchID]map[netmodel.HostID]int),
 		numPorts:    make(map[netmodel.SwitchID]int),
 		shardOf:     make(map[netmodel.SwitchID]int),
 		shardScheds: make([]engine.Scheduler, part.Shards()),
 		CentralNet:  metrics.NewNetMeterLanes(sched, part.Shards()),
-		delivered:   make([]padCounter, part.Shards()),
-		dropped:     make([]padCounter, part.Shards()),
+		hosts:       make([]endpoint, len(topo.Hosts())),
+		leafOrd:     make([]int32, topo.NumSwitches()),
+		lanes:       make([]shardLane, part.Shards()),
 	}
 	for i := range f.shardScheds {
 		f.shardScheds[i] = part.Shard(i)
@@ -180,10 +198,14 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 	}
 	for _, sw := range topo.Switches() {
 		port := 1
-		f.hostPorts[sw.ID] = map[netmodel.HostID]int{}
-		for _, h := range hostsBySwitch[sw.ID] {
-			f.hostPorts[sw.ID][h] = port
-			port++
+		f.leafOrd[sw.ID] = -1
+		if hs := hostsBySwitch[sw.ID]; len(hs) > 0 {
+			f.leafOrd[sw.ID] = int32(len(f.leaves))
+			for _, h := range hs {
+				f.hosts[h] = endpoint{leaf: int32(len(f.leaves)), port: int32(port)}
+				port++
+			}
+			f.leaves = append(f.leaves, sw.ID)
 		}
 		nbs := append([]netmodel.SwitchID(nil), topo.Neighbors(sw.ID)...)
 		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
@@ -205,6 +227,7 @@ func New(topo *netmodel.Topology, sched engine.Scheduler, opts Options) *Fabric 
 		f.drivers[sw.ID] = dataplane.NewEmuDriver(ds, bus)
 		f.cpus[sw.ID] = metrics.NewCPUMeter(home, opts.CPUCores)
 	}
+	f.ecmp = make([]atomic.Pointer[ecmpRow], len(f.leaves))
 
 	// BFS hop distance to the central attachment point.
 	f.hopDist = map[netmodel.SwitchID]int{opts.CentralAt: 0}
@@ -233,7 +256,7 @@ func (s singleShard) Shard(i int) engine.Scheduler {
 	return s.Scheduler
 }
 func (s singleShard) CrossAfter(from, to int, d time.Duration, fn func()) {
-	s.After(d, fn)
+	engine.ScheduleOn(s.Scheduler, d, fn)
 }
 
 // Sched returns the root scheduler driving the fabric. Runs
@@ -266,7 +289,12 @@ func (f *Fabric) Topology() *netmodel.Topology { return f.topo }
 func (f *Fabric) Costs() metrics.CostModel { return f.costs }
 
 // Switch returns the emulated ASIC of a switch.
-func (f *Fabric) Switch(id netmodel.SwitchID) *dataplane.Switch { return f.switches[id] }
+func (f *Fabric) Switch(id netmodel.SwitchID) *dataplane.Switch {
+	if id < 0 || int(id) >= len(f.switches) {
+		return nil
+	}
+	return f.switches[id]
+}
 
 // Driver returns the ASIC driver of a switch.
 func (f *Fabric) Driver(id netmodel.SwitchID) *dataplane.EmuDriver { return f.drivers[id] }
@@ -279,8 +307,10 @@ func (f *Fabric) NumPorts(id netmodel.SwitchID) int { return f.numPorts[id] }
 
 // HostPort returns the 1-based port a host attaches to on its leaf.
 func (f *Fabric) HostPort(sw netmodel.SwitchID, h netmodel.HostID) (int, bool) {
-	p, ok := f.hostPorts[sw][h]
-	return p, ok
+	if h < 0 || int(h) >= len(f.hosts) || f.hosts[h].port == 0 || f.leaves[f.hosts[h].leaf] != sw {
+		return 0, false
+	}
+	return int(f.hosts[h].port), true
 }
 
 // PortToward returns the 1-based port of sw facing neighbor nb.
@@ -293,8 +323,8 @@ func (f *Fabric) PortToward(sw, nb netmodel.SwitchID) (int, bool) {
 // Summed over per-shard counters; read it while the engine is quiescent.
 func (f *Fabric) Delivered() uint64 {
 	var n uint64
-	for i := range f.delivered {
-		n += f.delivered[i].n
+	for i := range f.lanes {
+		n += f.lanes[i].delivered
 	}
 	return n
 }
@@ -303,28 +333,24 @@ func (f *Fabric) Delivered() uint64 {
 // Summed over per-shard counters; read it while the engine is quiescent.
 func (f *Fabric) DroppedInFabric() uint64 {
 	var n uint64
-	for i := range f.dropped {
-		n += f.dropped[i].n
+	for i := range f.lanes {
+		n += f.lanes[i].dropped
 	}
 	return n
 }
 
 // PathFor returns the ECMP path a flow takes between two hosts,
-// selected deterministically by flow hash.
+// selected deterministically by flow hash from the fabric's ECMP table.
 func (f *Fabric) PathFor(p dataplane.Packet) (netmodel.Path, error) {
-	src, ok := f.topo.HostByIP(p.SrcIP)
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown source host %v", p.SrcIP)
+	r, _, _, err := f.routeFor(p)
+	if err != nil {
+		return nil, err
 	}
-	dst, ok := f.topo.HostByIP(p.DstIP)
-	if !ok {
-		return nil, fmt.Errorf("fabric: unknown destination host %v", p.DstIP)
+	path := make(netmodel.Path, len(r))
+	for i, h := range r {
+		path[i] = netmodel.SwitchID(h.sw)
 	}
-	paths := f.topo.Paths(src.Leaf, dst.Leaf)
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("fabric: no path %v -> %v", src.Leaf, dst.Leaf)
-	}
-	return paths[int(flowHash(p.Flow()))%len(paths)], nil
+	return path, nil
 }
 
 // flowHash is the ECMP path selector: FNV-1a over the flow's canonical
@@ -347,47 +373,21 @@ func flowHash(k dataplane.FlowKey) uint32 {
 
 // Send injects a packet at its source host's leaf and forwards it
 // hop-by-hop along its ECMP path, applying each switch's TCAM. The
-// packet is dropped mid-path if a rule says so.
+// packet is dropped mid-path if a rule says so. In steady state Send
+// allocates nothing: the packet rides a pooled hop record taken from
+// the source leaf's shard and returned to the shard it ends on.
 //
 // Under a sharded engine, Send must be called either from an event on
 // the source leaf's home shard (traffic.BulkWorkload arranges this) or
 // from the driving goroutine between runs.
 func (f *Fabric) Send(p dataplane.Packet) error {
-	path, err := f.PathFor(p)
+	r, src, dst, err := f.routeFor(p)
 	if err != nil {
 		return err
 	}
-	src, _ := f.topo.HostByIP(p.SrcIP)
-	dst, _ := f.topo.HostByIP(p.DstIP)
-
-	var step func(i int)
-	step = func(i int) {
-		sw := path[i]
-		inPort := 0
-		if i == 0 {
-			inPort = f.hostPorts[sw][src.ID]
-		} else {
-			inPort = f.swPorts[sw][path[i-1]]
-		}
-		outPort := 0
-		if i == len(path)-1 {
-			outPort = f.hostPorts[sw][dst.ID]
-		} else {
-			outPort = f.swPorts[sw][path[i+1]]
-		}
-		v := f.switches[sw].Inject(p, inPort, outPort)
-		if v.Dropped {
-			f.dropped[f.shardOf[sw]].n++
-			return
-		}
-		if i == len(path)-1 {
-			f.delivered[f.shardOf[sw]].n++
-			return
-		}
-		f.part.CrossAfter(f.shardOf[sw], f.shardOf[path[i+1]], f.opts.HopLatency,
-			func() { step(i + 1) })
-	}
-	step(0)
+	h := f.takeHop(r[0].shard)
+	h.p, h.r, h.in, h.out, h.i = p, r, src.port, dst.port, 0
+	h.advance()
 	return nil
 }
 
@@ -420,10 +420,9 @@ func (f *Fabric) SwitchLatency(a, b netmodel.SwitchID) time.Duration {
 	if a == b {
 		return f.opts.ControlBaseLatency / 2
 	}
-	paths := f.topo.Paths(a, b)
-	hops := 3
-	if len(paths) > 0 {
-		hops = len(paths[0]) - 1
+	hops := f.hopCount(a, b)
+	if hops < 0 {
+		hops = 3
 	}
 	return f.opts.ControlBaseLatency + time.Duration(hops)*f.opts.HopLatency
 }

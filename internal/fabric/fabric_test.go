@@ -110,6 +110,14 @@ func TestSendUnknownHost(t *testing.T) {
 	if err := f.Send(p); err == nil {
 		t.Fatal("unknown source should error")
 	}
+	// The fabric's routing view is frozen at New: a host added later is
+	// rejected, not routed from stale tables.
+	if _, err := f.Topology().AddHost(netmodel.SwitchID(1), p.SrcIP); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Send(p); err == nil {
+		t.Fatal("host added after New should error")
+	}
 }
 
 func TestECMPDeterministicPerFlow(t *testing.T) {
@@ -139,32 +147,48 @@ func TestECMPDeterministicPerFlow(t *testing.T) {
 	}
 }
 
+// TestTCAMDropStopsForwarding drops a packet at its first hop and, on
+// a fresh fabric, mid-path at the spine: the switches past the drop
+// never see it, and its hop record goes back to the pool, where the
+// next packet reuses it.
 func TestTCAMDropStopsForwarding(t *testing.T) {
-	f, loop := testFabric(t, 1, 2, 1)
-	p := dataplane.Packet{
-		SrcIP: HostIP(0, 0), DstIP: HostIP(1, 0),
-		SrcPort: 5, DstPort: 666, Proto: dataplane.ProtoTCP, Size: 100,
-	}
-	path, _ := f.PathFor(p)
-	// Install a drop rule at the first hop.
-	err := f.Switch(path[0]).TCAM().AddRule(dataplane.Rule{
-		Priority: 10, Filter: dataplane.Filter{DstPort: 666}, Action: dataplane.ActDrop,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Send(p)
-	loop.RunFor(time.Millisecond)
-	if f.Delivered() != 0 || f.DroppedInFabric() != 1 {
-		t.Fatalf("delivered=%d dropped=%d", f.Delivered(), f.DroppedInFabric())
-	}
-	// Downstream switches never saw the packet.
-	for _, sw := range path[1:] {
-		for port := 1; port <= f.NumPorts(sw); port++ {
-			st, _ := f.Switch(sw).PortStats(port)
-			if st.RxPackets != 0 {
-				t.Fatalf("switch %v saw dropped packet", sw)
+	for dropAt := 0; dropAt < 2; dropAt++ {
+		f, loop := testFabric(t, 1, 2, 1)
+		p := dataplane.Packet{
+			SrcIP: HostIP(0, 0), DstIP: HostIP(1, 0),
+			SrcPort: 5, DstPort: 666, Proto: dataplane.ProtoTCP, Size: 100,
+		}
+		path, _ := f.PathFor(p)
+		err := f.Switch(path[dropAt]).TCAM().AddRule(dataplane.Rule{
+			Priority: 10, Filter: dataplane.Filter{DstPort: 666}, Action: dataplane.ActDrop,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = f.Send(p)
+		loop.RunFor(time.Millisecond)
+		if f.Delivered() != 0 || f.DroppedInFabric() != 1 {
+			t.Fatalf("drop at hop %d: delivered=%d dropped=%d", dropAt, f.Delivered(), f.DroppedInFabric())
+		}
+		// Downstream switches never saw the packet.
+		for _, sw := range path[dropAt+1:] {
+			for port := 1; port <= f.NumPorts(sw); port++ {
+				st, _ := f.Switch(sw).PortStats(port)
+				if st.RxPackets != 0 {
+					t.Fatalf("drop at hop %d: switch %v saw dropped packet", dropAt, sw)
+				}
 			}
+		}
+		if n := freeHops(f); n != 1 {
+			t.Fatalf("drop at hop %d: %d pooled hop records after the drop, want 1", dropAt, n)
+		}
+		q := p
+		q.DstPort = 80
+		_ = f.Send(q)
+		loop.RunFor(time.Millisecond)
+		if f.Delivered() != 1 || freeHops(f) != 1 {
+			t.Fatalf("drop at hop %d: delivered=%d pooled=%d after a clean packet, want 1 and 1",
+				dropAt, f.Delivered(), freeHops(f))
 		}
 	}
 }

@@ -70,12 +70,55 @@ func BenchmarkFlowHash(b *testing.B) {
 }
 
 // BenchmarkFabricSend measures the full per-packet fabric path — ECMP
-// selection plus multi-hop Inject through each switch's classifier.
+// selection plus multi-hop Inject through each switch's classifier — on
+// a 2×4 spine-leaf (3-switch paths, 2-way ECMP) and across pods of a
+// k=8 fat-tree (5-switch paths, 16-way ECMP: fabric-flood's shape).
 func BenchmarkFabricSend(b *testing.B) {
-	topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 4})
-	if err != nil {
-		b.Fatal(err)
+	b.Run("spine-leaf", func(b *testing.B) {
+		topo, err := netmodel.SpineLeaf(netmodel.SpineLeafOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pkts := make([]dataplane.Packet, 64)
+		for i := range pkts {
+			pkts[i] = dataplane.Packet{
+				SrcIP: HostIP(i%4, i%4), DstIP: HostIP((i+1)%4, (i+2)%4),
+				SrcPort: uint16(1024 + i), DstPort: 80, Proto: dataplane.ProtoTCP, Size: 200,
+			}
+		}
+		benchSend(b, topo, pkts)
+	})
+	b.Run("fat-tree-k8-cross-pod", func(b *testing.B) {
+		topo, err := netmodel.FatTree(netmodel.FatTreeOptions{K: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSend(b, topo, crossPodPackets(8, 64))
+	})
+}
+
+// crossPodPackets builds n TCP packets on a k-ary fat-tree, each from
+// an edge in one pod to an edge in the next pod, with distinct source
+// ports so the flows spread over the ECMP group.
+func crossPodPackets(k, n int) []dataplane.Packet {
+	half := k / 2
+	edges := k * half
+	pkts := make([]dataplane.Packet, n)
+	for i := range pkts {
+		src := i % edges
+		dst := (src + half + i/edges) % edges
+		if dst/half == src/half {
+			dst = (dst + half) % edges
+		}
+		pkts[i] = dataplane.Packet{
+			SrcIP: HostIP(src, i%half), DstIP: HostIP(dst, (i+1)%half),
+			SrcPort: uint16(1024 + i), DstPort: 80, Proto: dataplane.ProtoTCP, Size: 200,
+		}
 	}
+	return pkts
+}
+
+func benchSend(b *testing.B, topo *netmodel.Topology, pkts []dataplane.Packet) {
 	loop := engine.NewSerial()
 	fab := New(topo, loop, Options{})
 	// A monitoring rule on every switch, as deployed tasks would install.
@@ -84,13 +127,6 @@ func BenchmarkFabricSend(b *testing.B) {
 			Priority: 1, Filter: dataplane.Filter{Proto: dataplane.ProtoTCP, DstPort: 80}, Action: dataplane.ActCount,
 		}); err != nil {
 			b.Fatal(err)
-		}
-	}
-	pkts := make([]dataplane.Packet, 64)
-	for i := range pkts {
-		pkts[i] = dataplane.Packet{
-			SrcIP: HostIP(i%4, i%4), DstIP: HostIP((i+1)%4, (i+2)%4),
-			SrcPort: uint16(1024 + i), DstPort: 80, Proto: dataplane.ProtoTCP, Size: 200,
 		}
 	}
 	b.ReportAllocs()

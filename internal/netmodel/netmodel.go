@@ -173,7 +173,8 @@ func New() *Topology {
 	}
 }
 
-// SetMaxECMP overrides the per-pair path enumeration cap.
+// SetMaxECMP overrides the per-pair path enumeration cap. A fabric
+// caches the enumeration, so call it before fabric.New.
 func (t *Topology) SetMaxECMP(n int) { t.maxECMP = n }
 
 // AddSwitch adds a switch and returns its ID.
