@@ -106,14 +106,18 @@ func Deploy(fab *fabric.Fabric, cfg Config) *System {
 		// ports, pre-serialize, forward unfiltered. The poll, the CPU
 		// charges, and the export all stay switch-local; only the
 		// serialized record crosses to the collector.
+		nports := drv.NumPorts()
 		tk := sched.Every(cfg.PollInterval, func() {
 			cpu.Charge(costs.PollIssue)
-			drv.PollPortStats(nil, func(stats map[int]dataplane.PortStats) {
+			// Each poll reads into its own slice: the previous one may
+			// still be in flight to the collector.
+			stats := make([]dataplane.PortStats, nports)
+			drv.PollPortStats(0, stats, func(n int) {
 				// The agent does NOT analyze: it serializes and ships.
-				cpu.Charge(time.Duration(len(stats)) * costs.PollPerRecord)
-				size := len(stats) * counterExportBytes
+				cpu.Charge(time.Duration(n) * costs.PollPerRecord)
+				size := n * counterExportBytes
 				at := sched.Now()
-				recs := stats
+				recs := stats[:n]
 				fab.SendToCentral(swID, size, func() {
 					s.ingestCounters(swID, at, recs)
 				})
@@ -164,8 +168,11 @@ func sampleBytes(p dataplane.Packet) int {
 	return n + 28 // truncated header + encapsulation
 }
 
-func (s *System) ingestCounters(sw netmodel.SwitchID, at time.Duration, stats map[int]dataplane.PortStats) {
-	for port, st := range stats {
+// ingestCounters takes one agent's dense all-port read: stats[i] holds
+// port i+1. Each port updates only its own key, so order is immaterial.
+func (s *System) ingestCounters(sw netmodel.SwitchID, at time.Duration, stats []dataplane.PortStats) {
+	for i, st := range stats {
+		port := i + 1
 		key := [2]int{int(sw), port}
 		prev, ok := s.lastCounters[key]
 		if !ok {

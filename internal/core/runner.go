@@ -147,6 +147,17 @@ func linkedProgram(cm *almanac.CompiledMachine) (*linkedLowered, error) {
 	return res.lp, res.err
 }
 
+// MutatesRecords reports whether a machine can change a record it is
+// handed. Lists are immutable in Almanac (list_append copies), so the
+// only way is a struct field-assignment site. A host may share one
+// read-only record value among seeds whose machines report false. The
+// answer comes from the cached lowering and is conservatively true if
+// the machine does not lower.
+func MutatesRecords(cm *almanac.CompiledMachine) bool {
+	lp, err := linkedProgram(cm)
+	return err != nil || len(lp.p.FieldAssigns) > 0
+}
+
 // NewRunner deploys a machine on the requested back end. The register
 // VM is the default; BackendInterp forces the AST walker. If lowering
 // fails (it should not for any sema-accepted program), the interpreter

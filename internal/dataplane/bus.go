@@ -39,9 +39,12 @@ func NewBus(sched engine.Scheduler, bytesPerSec float64) *Bus {
 	return &Bus{sched: sched, bytesPerSec: bytesPerSec}
 }
 
-// Request enqueues a transfer of size bytes and calls fn when it
-// completes; fn receives the total latency (queueing + transfer).
-func (b *Bus) Request(size int, fn func(latency time.Duration)) {
+// Request enqueues a transfer of size bytes and returns its total
+// latency (queueing + transfer). fn, if non-nil, runs when the transfer
+// completes; it is scheduled as given, so a caller that re-issues
+// transfers can pass one prebuilt callback and allocate nothing per
+// request.
+func (b *Bus) Request(size int, fn func()) time.Duration {
 	now := b.sched.Now()
 	start := now
 	if b.busyUntil > start {
@@ -60,8 +63,9 @@ func (b *Bus) Request(size int, fn func(latency time.Duration)) {
 	}
 	latency := done - now
 	if fn != nil {
-		b.sched.At(done, func() { fn(latency) })
+		engine.ScheduleOn(b.sched, latency, fn)
 	}
+	return latency
 }
 
 // Backlog returns how far in the future the bus is already committed.
@@ -120,10 +124,14 @@ const (
 type Driver interface {
 	// NumPorts reports the ASIC port count.
 	NumPorts() int
-	// PollPortStats reads counters for the given 1-based ports. nil or
-	// empty polls every port.
-	PollPortStats(ports []int, fn func(map[int]PortStats))
-	// PollRuleStats reads the counters of the rule with exactly filter f.
+	// PollPortStats reads port counters into dst when the bus transfer
+	// completes, then calls done with the number of entries written.
+	// port 0 polls every port, and dst[i] receives port i+1; a port > 0
+	// polls that port alone into dst[0] (n is 0 if the port does not
+	// exist). dst and done belong to the caller and are reused as given.
+	PollPortStats(port int, dst []PortStats, done func(n int))
+	// PollRuleStats reads the counters of the rule with exactly filter f
+	// when the transfer completes and passes them to fn.
 	PollRuleStats(f Filter, fn func(RuleStats, bool))
 	// AddRule installs a TCAM rule.
 	AddRule(r Rule, fn func(error))
@@ -145,6 +153,67 @@ type EmuDriver struct {
 	// (the real PCIe DMA ring would overflow); 0 means DefaultMaxSampleBacklog.
 	MaxSampleBacklog time.Duration
 	sampleDrops      uint64
+	// free holds idle poll requests. A driver is confined to its
+	// switch's shard, so the list needs no lock.
+	free *pollReq
+}
+
+// pollReq is one in-flight statistics read. Requests are pooled per
+// driver and each re-armed through its prebuilt complete method value,
+// so a steady polling load allocates nothing.
+type pollReq struct {
+	d        *EmuDriver
+	port     int // port poll when onPorts != nil; 0 means every port
+	dst      []PortStats
+	onPorts  func(n int)
+	rule     Filter
+	onRule   func(RuleStats, bool)
+	complete func()
+	next     *pollReq
+}
+
+func (d *EmuDriver) getReq() *pollReq {
+	r := d.free
+	if r == nil {
+		r = &pollReq{d: d}
+		r.complete = r.run
+	} else {
+		d.free = r.next
+		r.next = nil
+	}
+	return r
+}
+
+// run reads the counters at completion time (the ASIC answers with its
+// state when the request is serviced), recycles the request, then
+// hands the result to the caller.
+func (r *pollReq) run() {
+	d := r.d
+	if onPorts := r.onPorts; onPorts != nil {
+		n := d.readPorts(r.port, r.dst)
+		r.dst, r.onPorts = nil, nil
+		r.next, d.free = d.free, r
+		onPorts(n)
+		return
+	}
+	st, ok := d.sw.TCAM().Stats(r.rule)
+	onRule := r.onRule
+	r.onRule = nil
+	r.next, d.free = d.free, r
+	onRule(st, ok)
+}
+
+// readPorts copies the counters PollPortStats promises into dst.
+func (d *EmuDriver) readPorts(port int, dst []PortStats) int {
+	if port > 0 {
+		st, err := d.sw.PortStats(port)
+		if err != nil || len(dst) == 0 {
+			return 0
+		}
+		dst[0] = st
+		return 1
+	}
+	return copy(dst, d.sw.ports[1:])
 }
 
 // DefaultMaxSampleBacklog approximates the ASIC's mirror DMA ring
@@ -170,39 +239,26 @@ func (d *EmuDriver) SampleDrops() uint64 { return d.sampleDrops }
 func (d *EmuDriver) NumPorts() int { return d.sw.NumPorts() }
 
 // PollPortStats implements Driver.
-func (d *EmuDriver) PollPortStats(ports []int, fn func(map[int]PortStats)) {
-	if len(ports) == 0 {
-		ports = make([]int, d.sw.NumPorts())
-		for i := range ports {
-			ports[i] = i + 1
-		}
+func (d *EmuDriver) PollPortStats(port int, dst []PortStats, done func(n int)) {
+	n := 1
+	if port == 0 {
+		n = d.sw.NumPorts()
 	}
-	size := portStatsReqBytes + portStatsRespBytes*len(ports)
-	// Capture the port list; read counters at completion time (the
-	// ASIC answers with its state when the request is serviced).
-	ps := append([]int(nil), ports...)
-	d.bus.Request(size, func(time.Duration) {
-		out := make(map[int]PortStats, len(ps))
-		for _, p := range ps {
-			if st, err := d.sw.PortStats(p); err == nil {
-				out[p] = st
-			}
-		}
-		fn(out)
-	})
+	r := d.getReq()
+	r.port, r.dst, r.onPorts = port, dst, done
+	d.bus.Request(portStatsReqBytes+portStatsRespBytes*n, r.complete)
 }
 
 // PollRuleStats implements Driver.
 func (d *EmuDriver) PollRuleStats(f Filter, fn func(RuleStats, bool)) {
-	d.bus.Request(ruleStatsBytes, func(time.Duration) {
-		st, ok := d.sw.TCAM().Stats(f)
-		fn(st, ok)
-	})
+	r := d.getReq()
+	r.rule, r.onRule = f, fn
+	d.bus.Request(ruleStatsBytes, r.complete)
 }
 
 // AddRule implements Driver.
 func (d *EmuDriver) AddRule(r Rule, fn func(error)) {
-	d.bus.Request(ruleUpdateBytes, func(time.Duration) {
+	d.bus.Request(ruleUpdateBytes, func() {
 		err := d.sw.TCAM().AddRule(r)
 		if fn != nil {
 			fn(err)
@@ -212,7 +268,7 @@ func (d *EmuDriver) AddRule(r Rule, fn func(error)) {
 
 // RemoveRule implements Driver.
 func (d *EmuDriver) RemoveRule(f Filter, fn func(bool)) {
-	d.bus.Request(ruleUpdateBytes, func(time.Duration) {
+	d.bus.Request(ruleUpdateBytes, func() {
 		ok := d.sw.TCAM().RemoveRule(f)
 		if fn != nil {
 			fn(ok)
@@ -222,7 +278,7 @@ func (d *EmuDriver) RemoveRule(f Filter, fn func(bool)) {
 
 // GetRule implements Driver.
 func (d *EmuDriver) GetRule(f Filter, fn func(Rule, bool)) {
-	d.bus.Request(ruleStatsBytes, func(time.Duration) {
+	d.bus.Request(ruleStatsBytes, func() {
 		r, ok := d.sw.TCAM().GetRule(f)
 		fn(r, ok)
 	})
@@ -243,6 +299,6 @@ func (d *EmuDriver) StartSampling(f Filter, oneInN int, fn func(Packet)) (stop f
 		if p.Size < size {
 			size = p.Size
 		}
-		d.bus.Request(size, func(time.Duration) { fn(p) })
+		d.bus.Request(size, func() { fn(p) })
 	})
 }

@@ -240,8 +240,8 @@ func TestBusSerializesTransfers(t *testing.T) {
 	loop := engine.NewSerial()
 	bus := NewBus(loop, 1000) // 1000 B/s -> 100 B takes 100 ms
 	var done []time.Duration
-	bus.Request(100, func(lat time.Duration) { done = append(done, loop.Now()) })
-	bus.Request(100, func(lat time.Duration) { done = append(done, loop.Now()) })
+	bus.Request(100, func() { done = append(done, loop.Now()) })
+	bus.Request(100, func() { done = append(done, loop.Now()) })
 	loop.RunFor(time.Second)
 	if len(done) != 2 {
 		t.Fatalf("completed %d, want 2", len(done))
@@ -254,9 +254,7 @@ func TestBusSerializesTransfers(t *testing.T) {
 func TestBusLatencyIncludesQueueing(t *testing.T) {
 	loop := engine.NewSerial()
 	bus := NewBus(loop, 1000)
-	var lats []time.Duration
-	bus.Request(100, func(l time.Duration) { lats = append(lats, l) })
-	bus.Request(100, func(l time.Duration) { lats = append(lats, l) })
+	lats := []time.Duration{bus.Request(100, nil), bus.Request(100, nil)}
 	loop.RunFor(time.Second)
 	if lats[0] != 100*time.Millisecond || lats[1] != 200*time.Millisecond {
 		t.Fatalf("latencies = %v", lats)
@@ -311,13 +309,14 @@ func TestEmuDriverPollPortStats(t *testing.T) {
 	// Traffic arrives while the poll is in flight; the response reflects
 	// state at service time.
 	sw.Inject(pkt("10.0.0.1", "10.0.0.2", 1, 80, ProtoTCP, 100), 1, 2)
-	var got map[int]PortStats
-	drv.PollPortStats([]int{1, 2}, func(m map[int]PortStats) { got = m })
+	got := make([]PortStats, 4)
+	n := -1
+	drv.PollPortStats(0, got, func(k int) { n = k })
 	loop.RunFor(10 * time.Millisecond)
-	if got == nil {
-		t.Fatal("poll did not complete")
+	if n != 4 {
+		t.Fatalf("poll completed with %d ports, want 4", n)
 	}
-	if got[1].RxPackets != 1 || got[2].TxPackets != 1 {
+	if got[0].RxPackets != 1 || got[1].TxPackets != 1 {
 		t.Fatalf("stats = %+v", got)
 	}
 }
@@ -326,11 +325,64 @@ func TestEmuDriverPollAllPorts(t *testing.T) {
 	loop := engine.NewSerial()
 	sw := NewSwitch("sw0", 8, 16)
 	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
-	var got map[int]PortStats
-	drv.PollPortStats(nil, func(m map[int]PortStats) { got = m })
+	n := 0
+	drv.PollPortStats(0, make([]PortStats, 8), func(k int) { n = k })
 	loop.RunFor(10 * time.Millisecond)
-	if len(got) != 8 {
-		t.Fatalf("polled %d ports, want 8", len(got))
+	if n != 8 {
+		t.Fatalf("polled %d ports, want 8", n)
+	}
+}
+
+// A single-port poll lands in dst[0] and reads the counters when the
+// transfer completes, so traffic that arrives while the request waits
+// in the bus queue is in the answer. A port the switch lacks reads
+// nothing.
+func TestEmuDriverPollSinglePortAtCompletion(t *testing.T) {
+	loop := engine.NewSerial()
+	sw := NewSwitch("sw0", 4, 16)
+	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	dst := make([]PortStats, 1)
+	n := -1
+	drv.PollPortStats(3, dst, func(k int) { n = k })
+	sw.Inject(pkt("10.0.0.1", "10.0.0.2", 3, 80, ProtoTCP, 100), 3, 1)
+	loop.RunFor(10 * time.Millisecond)
+	if n != 1 || dst[0].RxPackets != 1 || dst[0].RxBytes != 100 {
+		t.Fatalf("n = %d, stats = %+v; want port 3's one packet", n, dst[0])
+	}
+	drv.PollPortStats(9, dst, func(k int) { n = k })
+	loop.RunFor(10 * time.Millisecond)
+	if n != 0 {
+		t.Fatalf("poll of a missing port read %d entries", n)
+	}
+}
+
+// Polls ride pooled request records: a steady polling load allocates
+// nothing.
+func TestEmuDriverPollAllocationFree(t *testing.T) {
+	loop := engine.NewSerial()
+	sw := NewSwitch("sw0", 8, 16)
+	drv := NewEmuDriver(sw, NewBus(loop, DefaultPCIePollBytesPerSec))
+	dst := make([]PortStats, 8)
+	f := Filter{DstPort: 80}
+	if err := sw.TCAM().AddRule(Rule{Priority: 1, Filter: f, Action: ActCount}); err != nil {
+		t.Fatal(err)
+	}
+	polls := 0
+	onPorts := func(int) { polls++ }
+	onRule := func(RuleStats, bool) { polls++ }
+	poll := func() {
+		drv.PollPortStats(0, dst, onPorts)
+		drv.PollRuleStats(f, onRule)
+		loop.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 300; i++ {
+		poll()
+	}
+	if allocs := testing.AllocsPerRun(100, poll); allocs != 0 {
+		t.Fatalf("%v allocs per poll pair, want 0", allocs)
+	}
+	if polls != 2*(300+101) {
+		t.Fatalf("completed %d polls, want %d", polls, 2*(300+101))
 	}
 }
 

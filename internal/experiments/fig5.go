@@ -121,7 +121,7 @@ func fig5FARM(flows int, cfg Fig5Config) (float64, error) {
 		// The soil aggregates the seed's rule polls into one bulk bus
 		// transfer per interval (§II-B-b); analysis happens in place.
 		cpu.Charge(costs.PollIssue + costs.HandlerDispatch)
-		bus.Request(16+48*len(filters), func(time.Duration) {
+		bus.Request(16+48*len(filters), func() {
 			for i := range filters {
 				st, ok := sw.TCAM().Stats(filters[i])
 				if !ok {

@@ -271,3 +271,35 @@ func TestFleetFailover(t *testing.T) {
 		t.Fatalf("submit with both replicas dead: want error")
 	}
 }
+
+// postTask posts body to a running service's POST /tasks and returns
+// the status code.
+func postTask(t *testing.T, body string) int {
+	t.Helper()
+	s := startService(t, testConfig())
+	waitReady(t, s, 2*time.Second)
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post("http://"+s.HTTPAddr()+"/tasks", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /tasks: %v", err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// A POST /tasks body past the 1 MiB bound is refused with 413 instead
+// of being decoded.
+func TestSubmitOversizedBodyRejected(t *testing.T) {
+	body := `{"name":"` + strings.Repeat("a", maxSubmitBody) + `"}`
+	if code := postTask(t, body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /tasks: code %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
+// A normal POST /tasks body still submits.
+func TestSubmitNormalBodyAccepted(t *testing.T) {
+	if code := postTask(t, `{"name":"hh"}`); code != http.StatusOK {
+		t.Fatalf("POST /tasks: code %d, want %d", code, http.StatusOK)
+	}
+}

@@ -133,11 +133,22 @@ func (s *Service) handleTasksGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// maxSubmitBody bounds a POST /tasks body. A task name needs a few
+// bytes; the bound keeps a hostile client from streaming an unbounded
+// body into the decoder.
+const maxSubmitBody = 1 << 20
+
 func (s *Service) handleTaskSubmit(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBody)
 	var body struct {
 		Name string `json:"name"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Name == "" {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": fmt.Sprintf("body exceeds %d bytes", maxSubmitBody)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": `body must be {"name": "<task>"}`})
 		return
 	}

@@ -178,6 +178,9 @@ type seedRuntime struct {
 	timeTickers map[string]engine.Ticker
 	stopProbes  []func()
 	rulesOwned  int
+	// mutates is core.MutatesRecords of the machine: only seeds that
+	// can assign a struct field get private poll records.
+	mutates bool
 }
 
 // pollSub is one seed's subscription to a polling subject.
@@ -186,9 +189,10 @@ type pollSub struct {
 	varName  string
 	interval time.Duration
 	group    *pollGroup
-	// per-subscriber previous counters for delta computation
-	prevPorts map[int]dataplane.PortStats
-	prevRule  dataplane.RuleStats
+	// primed is set by the subscriber's first delivery. Every delivery
+	// reaches every subscriber, so from then on its previous counters
+	// are the group's; before it they are zero.
+	primed    bool
 	lastProbe time.Duration
 }
 
@@ -245,11 +249,55 @@ func subjectFromWhat(w almanac.Const) (subject, error) {
 // pollGroup aggregates all subscriptions to one subject: the subject is
 // polled once per group interval (the minimum over subscribers) and the
 // result fanned out (§II-B-b "the soil can aggregate polling").
+//
+// Poll records are read-only, so primed subscribers whose machines
+// cannot mutate a record share one list per poll, and a record whose
+// counters did not change since the last shared list is reused.
 type pollGroup struct {
 	soil    *Soil
 	subject subject
 	subs    []*pollSub
 	ticker  engine.Ticker
+
+	// Port subjects: the driver reads into cur; prev is the previous
+	// read. Index i is port i+1, or subject.port alone.
+	cur, prev []dataplane.PortStats
+	// Rule subjects: the previous read.
+	prevRule dataplane.RuleStats
+
+	// shared is the last list handed to sharing subscribers (boxed
+	// once), and sharedFrom the counters each element was built from.
+	shared     core.Value
+	sharedFrom []portPair
+	sharedRule rulePair
+
+	// Prebuilt driver callbacks.
+	onPorts func(n int)
+	onRule  func(dataplane.RuleStats, bool)
+}
+
+// portPair and rulePair are the (current, previous) counters a record
+// encodes.
+type (
+	portPair struct{ cur, prev dataplane.PortStats }
+	rulePair struct{ cur, prev dataplane.RuleStats }
+)
+
+func newPollGroup(s *Soil, subj subject) *pollGroup {
+	g := &pollGroup{soil: s, subject: subj}
+	if subj.allPorts || subj.port > 0 {
+		n := 1
+		if subj.allPorts {
+			n = s.driver.NumPorts()
+		}
+		g.cur = make([]dataplane.PortStats, n)
+		g.prev = make([]dataplane.PortStats, n)
+		g.sharedFrom = make([]portPair, n)
+		g.onPorts = g.deliverPorts
+	} else {
+		g.onRule = g.deliverRule
+	}
+	return g
 }
 
 func (g *pollGroup) minInterval() time.Duration {
@@ -285,60 +333,134 @@ func (g *pollGroup) fire() {
 	s := g.soil
 	s.pollsIssued++
 	s.cpu.Charge(s.costs.PollIssue)
-	switch {
-	case g.subject.allPorts || g.subject.port > 0:
-		var ports []int
-		if g.subject.port > 0 {
-			ports = []int{g.subject.port}
-		}
-		s.driver.PollPortStats(ports, func(stats map[int]dataplane.PortStats) {
-			g.deliverPorts(stats)
-		})
-	default:
-		s.driver.PollRuleStats(g.subject.rule, func(st dataplane.RuleStats, ok bool) {
-			if !ok {
-				return // rule not installed (yet); nothing to deliver
-			}
-			g.deliverRule(st)
-		})
+	if g.onPorts != nil {
+		s.driver.PollPortStats(g.subject.port, g.cur, g.onPorts)
+		return
 	}
+	s.driver.PollRuleStats(g.subject.rule, g.onRule)
 }
 
-func (g *pollGroup) deliverPorts(stats map[int]dataplane.PortStats) {
+func (g *pollGroup) chargeDelivery(records int) {
 	s := g.soil
-	ports := make([]int, 0, len(stats))
-	for p := range stats {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	s.cpu.Charge(time.Duration(len(ports)) * s.costs.PollPerRecord)
+	s.cpu.Charge(time.Duration(records) * s.costs.PollPerRecord)
 	if len(g.subs) > 1 {
 		s.cpu.Charge(time.Duration(len(g.subs)) * s.costs.AggregationPerSeed)
 	}
+}
+
+// deliverPorts fans the n counters the driver read into g.cur out to
+// every subscriber. An unprimed subscriber gets a private list against
+// zero counters, a mutating one a private list against g.prev, and the
+// rest share one list.
+func (g *pollGroup) deliverPorts(n int) {
+	s := g.soil
+	cur, prev := g.cur[:n], g.prev[:n]
+	g.chargeDelivery(n)
+	var shared core.Value
 	for _, sub := range g.subs {
-		recs := make(core.List, 0, len(ports))
-		for _, p := range ports {
-			prev := sub.prevPorts[p]
-			recs = append(recs, core.PortStatsRecord(p, stats[p], prev))
-			sub.prevPorts[p] = stats[p]
+		var recs core.Value
+		switch {
+		case !sub.primed:
+			recs = g.portList(cur, nil)
+			sub.primed = true
+		case sub.rt.mutates:
+			recs = g.portList(cur, prev)
+		default:
+			if shared == nil {
+				shared = g.sharedPorts(cur, prev)
+			}
+			recs = shared
 		}
 		s.pollsDelivered++
 		s.dispatchTrigger(sub.rt, sub.varName, recs)
 	}
+	copy(prev, cur)
 }
 
-func (g *pollGroup) deliverRule(st dataplane.RuleStats) {
+func (g *pollGroup) portAt(i int) int {
+	if g.subject.port > 0 {
+		return g.subject.port
+	}
+	return i + 1
+}
+
+// portList builds a fresh record list; nil prev means zero counters.
+func (g *pollGroup) portList(cur, prev []dataplane.PortStats) core.Value {
+	recs := make(core.List, len(cur))
+	for i := range cur {
+		var p dataplane.PortStats
+		if prev != nil {
+			p = prev[i]
+		}
+		recs[i] = core.PortStatsRecord(g.portAt(i), cur[i], p)
+	}
+	return recs
+}
+
+// sharedPorts returns the read-only list for (cur, prev): the previous
+// shared list when no port changed, else a new list that reuses the
+// record of every port that did not. A group reads the same number of
+// ports on every poll, so the lists line up index by index.
+func (g *pollGroup) sharedPorts(cur, prev []dataplane.PortStats) core.Value {
+	old, ok := g.shared.(core.List)
+	var recs core.List
+	if !ok {
+		recs = make(core.List, len(cur))
+	}
+	for i := range cur {
+		pp := portPair{cur[i], prev[i]}
+		if ok && g.sharedFrom[i] == pp {
+			continue
+		}
+		if recs == nil {
+			recs = make(core.List, len(cur))
+			copy(recs, old)
+		}
+		recs[i] = core.PortStatsRecord(g.portAt(i), pp.cur, pp.prev)
+		g.sharedFrom[i] = pp
+	}
+	if recs != nil {
+		g.shared = recs
+	}
+	return g.shared
+}
+
+// deliverRule fans one rule-counter read out the same way deliverPorts
+// does. A rule that is not installed (yet) delivers nothing.
+func (g *pollGroup) deliverRule(st dataplane.RuleStats, ok bool) {
+	if !ok {
+		return
+	}
 	s := g.soil
-	s.cpu.Charge(s.costs.PollPerRecord)
-	if len(g.subs) > 1 {
-		s.cpu.Charge(time.Duration(len(g.subs)) * s.costs.AggregationPerSeed)
-	}
+	g.chargeDelivery(1)
+	var shared core.Value
 	for _, sub := range g.subs {
-		rec := core.RuleStatsRecord(st, sub.prevRule)
-		sub.prevRule = st
+		var recs core.Value
+		switch {
+		case !sub.primed:
+			recs = core.List{core.RuleStatsRecord(st, dataplane.RuleStats{})}
+			sub.primed = true
+		case sub.rt.mutates:
+			recs = core.List{core.RuleStatsRecord(st, g.prevRule)}
+		default:
+			if shared == nil {
+				shared = g.sharedRuleList(st)
+			}
+			recs = shared
+		}
 		s.pollsDelivered++
-		s.dispatchTrigger(sub.rt, sub.varName, core.List{rec})
+		s.dispatchTrigger(sub.rt, sub.varName, recs)
 	}
+	g.prevRule = st
+}
+
+// sharedRuleList is sharedPorts for a rule subject's single record.
+func (g *pollGroup) sharedRuleList(st dataplane.RuleStats) core.Value {
+	if from := (rulePair{st, g.prevRule}); g.shared == nil || g.sharedRule != from {
+		g.shared = core.List{core.RuleStatsRecord(st, g.prevRule)}
+		g.sharedRule = from
+	}
+	return g.shared
 }
 
 // dispatchTrigger delivers a trigger firing to a seed, charging the
@@ -409,6 +531,7 @@ func (s *Soil) deploy(ref SeedRef, cm *almanac.CompiledMachine, externals map[st
 		return fmt.Errorf("soil %s: %w", s.name, err)
 	}
 	rt.seed = seed
+	rt.mutates = core.MutatesRecords(cm)
 
 	// Static analysis → trigger wiring.
 	env := map[string]almanac.Const{}
@@ -495,7 +618,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	if err != nil {
 		return fmt.Errorf("soil %s: seed %s trigger %s: %w", s.name, rt.ref.ID(), pi.Name, err)
 	}
-	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval, prevPorts: map[int]dataplane.PortStats{}}
+	sub := &pollSub{rt: rt, varName: pi.Name, interval: interval}
 	rt.subs = append(rt.subs, sub)
 
 	key := subj.key()
@@ -505,7 +628,7 @@ func (s *Soil) wirePoll(rt *seedRuntime, pi *almanac.PollInfo, interval time.Dur
 	}
 	g, ok := s.groups[key]
 	if !ok {
-		g = &pollGroup{soil: s, subject: subj}
+		g = newPollGroup(s, subj)
 		s.groups[key] = g
 	}
 	sub.group = g
